@@ -38,13 +38,8 @@ constexpr double kKktTolerance = 1e-4;
 ft::topo::ClosConfig fabric(double load) {
   // Lifetimes follow M/G/1 processor sharing on each 10G host link, so
   // the mean number of flowlets per source host is load / (1 - load).
-  ft::topo::ClosConfig c;
-  c.servers_per_rack = 16;
-  c.spines = 4;  // 16 x 10G down vs 4 x 40G up: full bisection
-  const double hosts = kTargetFlows * (1.0 - load) / load;
-  c.racks = static_cast<std::int32_t>(
-      std::ceil(hosts / static_cast<double>(c.servers_per_rack)));
-  return c;
+  return clos_fabric(static_cast<std::int64_t>(
+      std::ceil(kTargetFlows * (1.0 - load) / load)));
 }
 
 using Route = std::array<LinkId, ft::core::kMaxRouteLinks>;
@@ -75,8 +70,7 @@ class OpenLoopChurn {
           return tc;
         }()),
         gen_(tc_),
-        ps_per_byte_(8.0 * static_cast<double>(ft::kSecond) /
-                     ((1.0 - load) * topo.config().host_link_bps)) {
+        ps_per_byte_(ps_per_byte(load, topo.config().host_link_bps)) {
     next_ = gen_.next();
   }
 
@@ -166,19 +160,6 @@ class OpenLoopChurn {
   std::priority_queue<End, std::vector<End>, std::greater<>> ends_;
 };
 
-std::vector<double> capacities(const ft::topo::ClosTopology& topo) {
-  std::vector<double> caps;
-  for (const auto& l : topo.graph().links()) caps.push_back(l.capacity_bps);
-  return caps;
-}
-
-double mean_of(const ft::obs::MetricsRegistry& reg, const std::string& n) {
-  for (const auto& m : reg.snapshot()) {
-    if (m.name == n) return m.histo.mean();
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 // One pass over the fixed horizon from its own set-up: the same seed
@@ -186,7 +167,6 @@ double mean_of(const ft::obs::MetricsRegistry& reg, const std::string& n) {
 struct AllocChurn::Pass {
   ft::obs::MetricsRegistry reg;
   ft::topo::ClosTopology topo;
-  std::vector<double> caps;
   OpenLoopChurn churn;
   ft::core::Allocator alloc;
   // The benchmark's own view of the live flow set (key -> route), kept
@@ -198,9 +178,8 @@ struct AllocChurn::Pass {
 
   explicit Pass(const Options& opt)
       : topo(fabric(opt.load)),
-        caps(capacities(topo)),
         churn(topo, opt.load, mix(opt.seed, 0xA11C)),
-        alloc(caps,
+        alloc(link_capacities(topo),
               [&] {
                 ft::core::AllocatorConfig c;
                 c.metrics = &reg;
@@ -241,7 +220,8 @@ struct AllocChurn::Pass {
   }
 
   // F-NORM's guarantee, over the benchmark's own route table: no link is
-  // allocated beyond its capacity. Also: the allocator's flow set is the
+  // allocated beyond the capacity the allocator normalizes to (the link's
+  // capacity less its 1% headroom). Also: the allocator's flow set is the
   // live set.
   void check_round(int round, Report& rep) const {
     rep.check(alloc.num_active_flowlets() == live.size(),
@@ -249,6 +229,7 @@ struct AllocChurn::Pass {
                   ": allocator has " +
                   std::to_string(alloc.num_active_flowlets()) +
                   " flowlets, live set " + std::to_string(live.size()));
+    const auto caps = alloc.problem().capacities();
     std::vector<double> sum(caps.size(), 0.0);
     for (const auto& [key, lr] : live) {
       const double r = alloc.allocated_rate(key);
@@ -261,7 +242,8 @@ struct AllocChurn::Pass {
         rep.check(false, "alloc_churn round " + std::to_string(round) +
                              ": link " + std::to_string(l) +
                              " allocated " + std::to_string(sum[l]) +
-                             " > capacity " + std::to_string(caps[l]));
+                             " > normalized capacity " +
+                             std::to_string(caps[l]));
         return;
       }
     }
@@ -277,7 +259,7 @@ struct AllocChurn::Pass {
       alloc.run_iteration(updates);
     }
     const auto scaled = alloc.problem().capacities();
-    std::vector<std::int64_t> remap(caps.size(), -1);
+    std::vector<std::int64_t> remap(scaled.size(), -1);
     std::vector<double> ref_caps;
     for (const auto& [key, lr] : live) {
       for (std::uint8_t i = 0; i < lr.first; ++i) {
@@ -335,27 +317,18 @@ void AllocChurn::pass(Report& rep) {
     p.track(p.batch);
     p.updates.clear();
     const std::int64_t t0 = cpu_ns();
-    if (opt_.trace) {
-      // Traced: every churn call timed on its own.
-      for (const ChurnEvent& ev : p.batch) {
-        const std::int64_t c0 = wall_ns();
-        if (ev.start) {
-          p.alloc.flowlet_start(ev.key, {ev.route.data(), ev.len});
-          start_ns_ += static_cast<double>(wall_ns() - c0);
-          ++starts_;
-        } else {
-          p.alloc.flowlet_end(ev.key);
-          end_ns_ += static_cast<double>(wall_ns() - c0);
-          ++ends_;
-        }
+    for (const ChurnEvent& ev : p.batch) {
+      const std::int64_t c0 = opt_.trace ? wall_ns() : 0;
+      if (ev.start) {
+        p.alloc.flowlet_start(ev.key, {ev.route.data(), ev.len});
+      } else {
+        p.alloc.flowlet_end(ev.key);
       }
-    } else {
-      for (const ChurnEvent& ev : p.batch) {
-        if (ev.start) {
-          p.alloc.flowlet_start(ev.key, {ev.route.data(), ev.len});
-        } else {
-          p.alloc.flowlet_end(ev.key);
-        }
+      if (opt_.trace) {
+        // Traced: every churn call timed on its own.
+        const auto dt = static_cast<double>(wall_ns() - c0);
+        (ev.start ? start_ns_ : end_ns_) += dt;
+        ++(ev.start ? starts_ : ends_);
       }
     }
     p.alloc.run_iteration(p.updates);
@@ -384,9 +357,9 @@ void AllocChurn::pass(Report& rep) {
   first_updates_ = pass_updates;
   if (opt_.trace) {
     const ft::core::AllocatorStats after = p.alloc.stats();
-    rep.add_layer("core.ned_us", mean_of(p.reg, "core.ned_us"), "us");
-    rep.add_layer("core.norm_us", mean_of(p.reg, "core.norm_us"), "us");
-    rep.add_layer("core.emit_us", mean_of(p.reg, "core.emit_us"), "us");
+    for (const char* h : {"core.ned_us", "core.norm_us", "core.emit_us"}) {
+      rep.add_layer(h, p.reg.histo(h).snapshot().mean(), "us");
+    }
     rep.add_layer("core.suppressed_per_round",
                   static_cast<double>(after.updates_suppressed -
                                       before.updates_suppressed) /

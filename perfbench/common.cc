@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/time.h"
+
 namespace pb {
 
 double quantile(std::vector<double> v, double q) {
@@ -23,6 +25,26 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+ft::topo::ClosConfig clos_fabric(std::int64_t hosts) {
+  ft::topo::ClosConfig c;
+  c.servers_per_rack = 16;
+  c.spines = 4;
+  c.racks = static_cast<std::int32_t>((hosts + c.servers_per_rack - 1) /
+                                      c.servers_per_rack);
+  return c;
+}
+
+std::vector<double> link_capacities(const ft::topo::ClosTopology& topo) {
+  std::vector<double> caps;
+  for (const auto& l : topo.graph().links()) caps.push_back(l.capacity_bps);
+  return caps;
+}
+
+double ps_per_byte(double load, double host_link_bps) {
+  return 8.0 * static_cast<double>(ft::kSecond) /
+         ((1.0 - load) * host_link_bps);
 }
 
 double peak_rss_mb() {

@@ -1,6 +1,6 @@
-// Shared plumbing for the perfbench stages: wall clock, quantiles, seed
-// mixing and the run report every stage writes its metrics and checks
-// into.
+// Shared plumbing for the perfbench stages: clocks, quantiles, seed
+// mixing, the fabric and lifetimes the stages share, and the run report
+// every stage writes its metrics and checks into.
 #pragma once
 
 #include <time.h>
@@ -10,10 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "topo/clos.h"
+
 namespace pb {
 
-// CLOCK_MONOTONIC nanoseconds (the clock run.py stamps the process start
-// with, so setup_s can be measured from before exec).
+// CLOCK_MONOTONIC nanoseconds.
 inline std::int64_t wall_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -29,11 +30,32 @@ inline std::int64_t cpu_ns() {
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
+// CPU time of the whole process since it started (exec, loading and
+// static initialisation included), in nanoseconds; steal is left out as
+// for cpu_ns().
+inline std::int64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
 // Linearly interpolated quantile (q in [0, 1]) of a sample; 0 when empty.
 double quantile(std::vector<double> v, double q);
 
 // splitmix64 finalizer: independent per-stage seeds from the run seed.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b);
+
+// The stages' Clos fabric for `hosts` hosts: 16 servers per rack and 4
+// spines (16 x 10G down vs 4 x 40G up, full bisection).
+ft::topo::ClosConfig clos_fabric(std::int64_t hosts);
+
+// Every link's capacity, in link-id order: the allocator's input.
+std::vector<double> link_capacities(const ft::topo::ClosTopology& topo);
+
+// Picoseconds per byte of a flowlet's lifetime: its mean processor-sharing
+// sojourn on a host link of `host_link_bps` at offered `load` is
+// bytes * ps_per_byte(...).
+double ps_per_byte(double load, double host_link_bps);
 
 // Peak resident set size of this process, in MB.
 double peak_rss_mb();

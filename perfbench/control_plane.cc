@@ -27,8 +27,9 @@ constexpr std::int64_t kPollUs = 100;
 constexpr Time kChurnStart = 1 * ft::kMillisecond;
 constexpr Time kChurnEnd = kChurnStart + 10 * ft::kMillisecond;
 // Wall time is taken per slice of virtual time, for the per-slice
-// minimum over passes.
-constexpr Time kSlice = 1 * ft::kMillisecond;
+// minimum over passes: one round period, so a slice is ~10 ms of wall
+// time and the minimum can pick the quiet moments of a contended pass.
+constexpr Time kSlice = kRoundUs * ft::kMicrosecond;
 // Drain: the plane is quiet once this many rounds emit no update.
 constexpr int kQuietRounds = 3;
 constexpr int kMaxDrainRounds = 2'000;
@@ -38,8 +39,10 @@ constexpr Time kRateDeadline = 5 * kRoundUs * ft::kMicrosecond;
 
 // Wall time per layer in the traced run. Transport calls are leaves;
 // every enclosing span subtracts the transport time nested inside it, so
-// each figure is self time.
+// each figure is self time. total_ns is the wall time of the whole run,
+// on the same clock, so the rest is event dispatch.
 struct LayerTimes {
+  std::int64_t total_ns = 0;
   std::int64_t transport_ns = 0;
   std::int64_t agent_ns = 0;
   std::int64_t service_io_ns = 0;
@@ -160,20 +163,6 @@ class TimedLoop final : public ft::net::IoLoop {
   LayerTimes& t_;
 };
 
-ft::topo::ClosConfig fabric() {
-  ft::topo::ClosConfig c;
-  c.servers_per_rack = 16;
-  c.spines = 4;
-  c.racks = (kAgents + c.servers_per_rack - 1) / c.servers_per_rack;
-  return c;
-}
-
-std::vector<double> capacities(const ft::topo::ClosTopology& topo) {
-  std::vector<double> caps;
-  for (const auto& l : topo.graph().links()) caps.push_back(l.capacity_bps);
-  return caps;
-}
-
 }  // namespace
 
 // One plane and one run of the horizon over it. The plane also plays
@@ -219,8 +208,8 @@ struct ControlPlane::Plane final : ft::sim::EventHandler {
         timed_loop(sim_loop, lt),
         tr(trace ? static_cast<ft::net::Transport&>(timed_tr) : sim_tr),
         loop(trace ? static_cast<ft::net::IoLoop&>(timed_loop) : sim_loop),
-        topo(fabric()),
-        alloc(capacities(topo), ft::core::AllocatorConfig{}),
+        topo(clos_fabric(kAgents)),
+        alloc(link_capacities(topo), ft::core::AllocatorConfig{}),
         gen([&] {
           ft::wl::TrafficConfig tc;
           tc.num_hosts = kAgents;
@@ -232,8 +221,8 @@ struct ControlPlane::Plane final : ft::sim::EventHandler {
         }()),
         // Lifetimes as in alloc_churn: the mean processor-sharing
         // sojourn on a 10G host link at the offered load.
-        ps_per_byte(8.0 * static_cast<double>(ft::kSecond) /
-                    ((1.0 - opt.load) * topo.config().host_link_bps)) {
+        ps_per_byte(pb::ps_per_byte(opt.load,
+                                    topo.config().host_link_bps)) {
     ft::net::ServerConfig sc;
     sc.transport = &tr;
     sc.tcp_port = 0;
@@ -324,28 +313,37 @@ struct ControlPlane::Plane final : ft::sim::EventHandler {
     }
   }
 
-  // The fixed horizon in slices, then the drain (one more slice): round
-  // by round until kQuietRounds in a row emit no update, stopping after
-  // the poll that follows the last round and before the next one.
+  // Runs one slice of the run: thread CPU time into slice_s for
+  // plane_wall_s, wall time into the traced layer total.
+  template <class F>
+  void slice(F&& f) {
+    const std::int64_t c0 = cpu_ns();
+    const std::int64_t w0 = wall_ns();
+    f();
+    slice_s.push_back(static_cast<double>(cpu_ns() - c0) / 1e9);
+    lt.total_ns += wall_ns() - w0;
+  }
+
+  // The fixed horizon in slices, then the drain, one slice per round:
+  // round by round until kQuietRounds in a row emit no update, stopping
+  // after the poll that follows the last round and before the next one.
   // Flowlets still waiting for a rate past the deadline count as late.
   void run() {
     for (Time t = kSlice; t <= kChurnEnd; t += kSlice) {
-      const std::int64_t t0 = cpu_ns();
-      events.run_until(t);
-      slice_s.push_back(static_cast<double>(cpu_ns() - t0) / 1e9);
+      slice([&] { events.run_until(t); });
     }
-    const std::int64_t t0 = cpu_ns();
     std::uint64_t last = alloc.stats().updates_emitted;
     int quiet = 0;
     const Time period = kRoundUs * ft::kMicrosecond;
     const Time after_poll = (kPollUs / 2 + 10) * ft::kMicrosecond;
     for (int r = 1; r <= kMaxDrainRounds && quiet < kQuietRounds; ++r) {
-      events.run_until(kChurnEnd + (r - 1) * period + after_poll);
+      slice([&] {
+        events.run_until(kChurnEnd + (r - 1) * period + after_poll);
+      });
       const std::uint64_t now = alloc.stats().updates_emitted;
       quiet = now == last ? quiet + 1 : 0;
       last = now;
     }
-    slice_s.push_back(static_cast<double>(cpu_ns() - t0) / 1e9);
     quiesced = quiet >= kQuietRounds;
     for (const auto& [key, start] : awaiting) {
       if (events.now() - start > kRateDeadline) ++late;
@@ -418,16 +416,13 @@ struct ControlPlane::Plane final : ft::sim::EventHandler {
     const auto per_vsec = [&](std::int64_t ns) {
       return static_cast<double>(ns) / 1e3 / vsec;
     };
-    double wall_s = 0.0;
-    for (const double s : slice_s) wall_s += s;
-    const auto total_ns = static_cast<std::int64_t>(wall_s * 1e9);
     rep.add_layer("net.agent_us", per_vsec(lt.agent_ns), "us/vs");
     rep.add_layer("net.service_io_us", per_vsec(lt.service_io_ns), "us/vs");
     rep.add_layer("net.service_round_us", per_vsec(lt.service_round_ns),
                   "us/vs");
     rep.add_layer("sim.transport_us", per_vsec(lt.transport_ns), "us/vs");
     rep.add_layer("sim.dispatch_us",
-                  per_vsec(total_ns - lt.agent_ns - lt.service_io_ns -
+                  per_vsec(lt.total_ns - lt.agent_ns - lt.service_io_ns -
                            lt.service_round_ns - lt.transport_ns),
                   "us/vs");
     const ft::net::ServiceStats ss = svc->stats();

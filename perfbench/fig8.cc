@@ -17,14 +17,6 @@ constexpr Time kWindow = 10 * ft::kMillisecond;
 // Long enough that no flow started in the window is left unfinished.
 constexpr Time kDrain = 100 * ft::kMillisecond;
 
-double histo_sum_s(const ft::obs::MetricsRegistry& reg,
-                   const std::string& name) {
-  for (const auto& m : reg.snapshot()) {
-    if (m.name == name) return static_cast<double>(m.histo.sum) / 1e6;
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 void run_fig8(const Options& opt, Report& rep) {
@@ -83,7 +75,9 @@ void run_fig8(const Options& opt, Report& rep) {
   // Round phases as the allocator's own registry records them (whole
   // microseconds per round, so a lower bound on its busy time).
   const double core_s =
-      histo_sum_s(reg, "core.solve_us") + histo_sum_s(reg, "core.emit_us");
+      static_cast<double>(reg.histo("core.solve_us").snapshot().sum +
+                          reg.histo("core.emit_us").snapshot().sum) /
+      1e6;
   rep.add_layer("sim.wall_s", wall_s, "s");
   rep.add_layer("core.busy_s", core_s, "s");
   rep.add_layer("transport.busy_s", wall_s - core_s, "s");

@@ -1,7 +1,6 @@
 // perfbench: one run of the Flowtune end-to-end benchmark.
 //
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//             [--t0-ns <CLOCK_MONOTONIC ns at process start>]
 //
 // Every run executes three stages -- allocator churn, the virtual-time
 // control plane and the Fig 8 packet simulation -- on the workload's
@@ -45,7 +44,7 @@ constexpr int kMinPasses = 3;
 [[noreturn]] void usage(const char* msg) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload <load60|load80> "
-               "--seed <n> --seconds <s> --trace <0|1> [--t0-ns <ns>]\n",
+               "--seed <n> --seconds <s> --trace <0|1>\n",
                msg);
   std::exit(2);
 }
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
   const char* seed = nullptr;
   const char* seconds = nullptr;
   const char* trace = nullptr;
-  std::int64_t t0_ns = main_ns;
   for (int i = 1; i + 1 < argc; i += 2) {
     const char* v = argv[i + 1];
     if (std::strcmp(argv[i], "--workload") == 0) {
@@ -86,8 +84,6 @@ int main(int argc, char** argv) {
       seconds = v;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace = v;
-    } else if (std::strcmp(argv[i], "--t0-ns") == 0) {
-      t0_ns = std::strtoll(v, nullptr, 10);
     } else {
       usage((std::string("unknown flag ") + argv[i]).c_str());
     }
@@ -113,11 +109,12 @@ int main(int argc, char** argv) {
   opt.trace = trace[0] == '1';
 
   pb::Report rep;
-  // Cold set-up, from the process's start: the allocator with its
-  // replayed steady-state flow set, and the first control plane.
+  // Cold set-up, from the process's start (exec and loading included):
+  // the allocator with its replayed steady-state flow set, and the first
+  // control plane. Process CPU time, so hypervisor steal stays out.
   pb::AllocChurn churn(opt);
   pb::ControlPlane plane(opt);
-  const double setup_s = static_cast<double>(pb::wall_ns() - t0_ns) / 1e9;
+  const double setup_s = static_cast<double>(pb::process_cpu_ns()) / 1e9;
 
   const auto since_main = [&] {
     return static_cast<double>(pb::wall_ns() - main_ns) / 1e9;

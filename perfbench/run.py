@@ -15,7 +15,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -61,8 +60,6 @@ def main():
 
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds), "--trace", args.trace]
-    # CLOCK_MONOTONIC, the clock perfbench reads: setup_s counts from here.
-    cmd += ["--t0-ns", str(time.monotonic_ns())]
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                               timeout=RUN_TIMEOUT_S)
