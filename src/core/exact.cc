@@ -6,12 +6,30 @@
 #include "core/ned.h"
 
 namespace ft::core {
+namespace {
+
+// Marks the links at least one active flow traverses. A flow-free link
+// carries no dual pressure: its optimal price is 0, so it is left out
+// of the slackness checks (NED leaves its price wherever it was).
+std::vector<std::uint8_t> carried_links(const NumProblem& problem) {
+  std::vector<std::uint8_t> carried(problem.num_links(), 0);
+  for (std::size_t s = 0; s < problem.num_slots(); ++s) {
+    const FlowView f = problem.flow(static_cast<FlowIndex>(s));
+    if (!f.active()) continue;
+    for (std::uint32_t l : f.route()) carried[l] = 1;
+  }
+  return carried;
+}
+
+}  // namespace
 
 double kkt_residual(const NumProblem& problem,
                     std::span<const double> rates,
                     std::span<const double> prices) {
   double worst = 0.0;
-  // Per-link primal feasibility and complementary slackness.
+  // Per-link primal feasibility and complementary slackness, over the
+  // links that carry a flow.
+  const std::vector<std::uint8_t> carried = carried_links(problem);
   std::vector<double> alloc(problem.num_links(), 0.0);
   for (std::size_t s = 0; s < problem.num_slots(); ++s) {
     const FlowView f = problem.flow(static_cast<FlowIndex>(s));
@@ -19,6 +37,7 @@ double kkt_residual(const NumProblem& problem,
     for (std::uint32_t l : f.route()) alloc[l] += rates[s];
   }
   for (std::size_t l = 0; l < alloc.size(); ++l) {
+    if (!carried[l]) continue;
     const double c = problem.capacity(l);
     worst = std::max(worst, (alloc[l] - c) / c);
     const double cs = prices[l] * std::abs(alloc[l] - c) /
@@ -55,11 +74,12 @@ ExactResult solve_exact(NumProblem& problem, ExactOptions opt) {
   ExactResult res;
   if (problem.num_active() == 0) {
     res.converged = true;
-    res.prices.assign(problem.num_links(), 1.0);
+    res.prices.assign(problem.num_links(), 0.0);  // every link is idle
     res.rates.assign(problem.num_slots(), 0.0);
     return res;
   }
 
+  const std::vector<std::uint8_t> carried = carried_links(problem);
   double prev_obj = -1e300;
   int stable = 0;
   // Step damping: NED's diagonal approximation can limit-cycle at large
@@ -80,6 +100,7 @@ ExactResult solve_exact(NumProblem& problem, ExactOptions opt) {
     bool feasible = true;
     bool slack_ok = true;
     for (std::size_t l = 0; l < problem.num_links(); ++l) {
+      if (!carried[l]) continue;
       const double c = problem.capacity(l);
       const double g = ned.link_alloc()[l] - c;
       if (g > opt.feas_tol * c) feasible = false;
@@ -104,6 +125,9 @@ ExactResult solve_exact(NumProblem& problem, ExactOptions opt) {
   }
   res.rates.assign(ned.rates().begin(), ned.rates().end());
   res.prices.assign(ned.prices().begin(), ned.prices().end());
+  for (std::size_t l = 0; l < res.prices.size(); ++l) {
+    if (!carried[l]) res.prices[l] = 0.0;
+  }
   res.kkt_residual = kkt_residual(problem, res.rates, res.prices);
   res.objective = objective_value(problem, res.rates);
   for (std::size_t s = 0; s < problem.num_slots(); ++s) {

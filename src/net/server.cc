@@ -225,7 +225,8 @@ struct AllocatorService::Shard {
     std::uint64_t seq = 0;
   };
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
-  std::unordered_map<std::uint32_t, Owner> key_owner;
+  // Never iterated, so the flat map's unspecified order is harmless.
+  FlatMap64<Owner> key_owner;
   std::uint64_t next_seq = 0;
   std::atomic<std::size_t> num_conns{0};
   std::unique_ptr<Counters> stats;  // <prefix>.* registry counters
@@ -566,9 +567,8 @@ void AllocatorService::handle_start(Shard& s, Connection& c,
                                     const core::FlowletStartMsg& m) {
   std::array<LinkId, core::kMaxRouteLinks> route;
   std::uint8_t len = 0;
-  const auto owner = s.key_owner.find(m.flow_key);
-  if (owner != s.key_owner.end()) {
-    if (owner->second.conn == &c) {
+  if (const Shard::Owner* const owner = s.key_owner.find(m.flow_key)) {
+    if (owner->conn == &c) {
       // Registration refresh: the owning agent re-sent the start, which
       // means it never saw a rate for this flow on this connection (the
       // update died in a fault window, or the original batch raced a
@@ -626,17 +626,17 @@ void AllocatorService::handle_start(Shard& s, Connection& c,
 
 void AllocatorService::handle_end(Shard& s, Connection& c,
                                   const core::FlowletEndMsg& m) {
-  const auto it = s.key_owner.find(m.flow_key);
-  if (it == s.key_owner.end() || it->second.conn != &c) {
+  const Shard::Owner* const owner = s.key_owner.find(m.flow_key);
+  if (owner == nullptr || owner->conn != &c) {
     bump(s.stats->unknown_ends);
     return;
   }
-  s.key_owner.erase(it);
+  s.key_owner.erase(m.flow_key);
   c.owned_keys.erase(m.flow_key);
   if (!s.threaded()) {
     FT_CHECK(alloc_.flowlet_end(m.flow_key));
     bump(s.stats->flowlet_ends);
-    if (!traced_.empty()) traced_.erase(m.flow_key);
+    drop_trace(m.flow_key);
     return;
   }
   UpEvent ev;
@@ -738,12 +738,12 @@ void AllocatorService::heartbeat_tick(Shard& s) {
 }
 
 void AllocatorService::queue_trace_echo(Shard& s, core::TraceMarkMsg mark) {
-  const auto it = s.key_owner.find(mark.flow_key);
-  if (it == s.key_owner.end()) {  // flow ended while the echo was queued
+  const Shard::Owner* const owner = s.key_owner.find(mark.flow_key);
+  if (owner == nullptr) {  // flow ended while the echo was queued
     bump(*trace_drops_);
     return;
   }
-  Connection& c = *it->second.conn;
+  Connection& c = *owner->conn;
   if (c.writer.empty()) s.touched.push_back(c.fd);
   mark.t_ns[core::kHopFanoutWrite] = obs::now_ns();
   c.writer.add(mark);
@@ -751,6 +751,10 @@ void AllocatorService::queue_trace_echo(Shard& s, core::TraceMarkMsg mark) {
   if (c.writer.pending_bytes() >= cfg_.flush_chunk_bytes) {
     flush_conn(s, c);
   }
+}
+
+void AllocatorService::drop_trace(std::uint32_t key) {
+  if (!traced_.empty() && traced_.erase(key)) bump(*trace_drops_);
 }
 
 void AllocatorService::push_up(Shard& s, const UpEvent& ev) {
@@ -903,20 +907,20 @@ void AllocatorService::drain_up(Shard& s) {
     FT_CHECK(alloc_.flowlet_end(ev.key));
     key_shard_.erase(it);
     bump(alloc_stats_->flowlet_ends);
-    if (!traced_.empty()) traced_.erase(ev.key);
+    drop_trace(ev.key);
   }
 }
 
 void AllocatorService::queue_update(Shard& s, std::uint32_t key,
                                     std::uint16_t rate_code) {
-  const auto it = s.key_owner.find(key);
-  if (it == s.key_owner.end()) {
+  const Shard::Owner* const owner = s.key_owner.find(key);
+  if (owner == nullptr) {
     // Ended or culled between emission and queueing: the update dies
     // here, so the drop must be visible to the conservation oracle.
     bump(s.stats->updates_orphaned);
     return;
   }
-  Connection& c = *it->second.conn;
+  Connection& c = *owner->conn;
   if (c.writer.empty()) s.touched.push_back(c.fd);
   c.writer.add(core::RateUpdateMsg{key, rate_code, epoch_});
   bump(s.stats->updates_sent);
@@ -958,10 +962,10 @@ void AllocatorService::drain_down(Shard& s) {
       case DownEvent::Kind::kReject: {
         // Only cancel the exact attempt this reject answers (see
         // Shard::Owner).
-        const auto it = s.key_owner.find(ev.key);
-        if (it == s.key_owner.end() || it->second.seq != ev.seq) break;
-        it->second.conn->owned_keys.erase(ev.key);
-        s.key_owner.erase(it);
+        const Shard::Owner* const owner = s.key_owner.find(ev.key);
+        if (owner == nullptr || owner->seq != ev.seq) break;
+        owner->conn->owned_keys.erase(ev.key);
+        s.key_owner.erase(ev.key);
         break;
       }
     }
@@ -1190,6 +1194,7 @@ void AllocatorService::close_conn(Shard& s, int fd) {
     } else {
       FT_CHECK(alloc_.flowlet_end(key));
       bump(s.stats->flowlet_ends);
+      drop_trace(key);
     }
   }
   s.loop->del_fd(fd);

@@ -250,6 +250,9 @@ class AllocatorService {
   // Appends an echo mark to the flow owner's open batch, stamping the
   // fanout-write hop (shard thread / inline fanout).
   void queue_trace_echo(Shard& s, core::TraceMarkMsg mark);
+  // A flowlet ended: its parked trace context, if any, dies unechoed
+  // and counts as a trace drop (allocation thread).
+  void drop_trace(std::uint32_t key);
   // Queues one rate update for the shard's owner of `key` (no-op when
   // the flow ended meanwhile), cutting the batch at flush_chunk_bytes;
   // touched connections are flushed together by flush_touched.
@@ -298,9 +301,9 @@ class AllocatorService {
   // End-to-end trace contexts awaiting their echo (allocation thread).
   // A sampled flowlet_start parks its origin + ingest stamps here; the
   // first rate update emitted for the flow carries the completed mark
-  // back to the agent, then the entry is erased (also erased on
-  // flowlet_end). Bounded: inserts beyond kMaxTraced are dropped and
-  // counted in svc.trace_drops.
+  // back to the agent, then the entry is erased (also erased, and
+  // counted in svc.trace_drops, on flowlet_end). Bounded: inserts
+  // beyond kMaxTraced are dropped and counted in svc.trace_drops.
   struct TraceCtx {
     std::uint64_t trace_id = 0;
     std::int64_t t_agent_send_ns = 0;

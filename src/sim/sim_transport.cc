@@ -1,7 +1,9 @@
 #include "sim/sim_transport.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 #include "net/frame.h"
@@ -19,10 +21,12 @@ constexpr std::uint32_t kTagFin = 4;
 // SimLoop's single tag.
 constexpr std::uint32_t kTagTimer = 1;
 
-constexpr std::uint64_t pack_connect(int listener, int server_handle) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(listener))
+// Two 32-bit fields in one event arg: (listener, server handle) for a
+// connect, (receiver handle, byte count) for a delivery.
+constexpr std::uint64_t pack(int hi, std::uint32_t lo) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi))
           << 32) |
-         static_cast<std::uint32_t>(server_handle);
+         lo;
 }
 
 std::uint32_t get_le32(const std::uint8_t* p) {
@@ -37,9 +41,25 @@ std::uint32_t get_le32(const std::uint8_t* p) {
 SimTransport::SimTransport(EventQueue& events, std::uint64_t seed)
     : events_(events), rng_(seed) {
   events_.bind_clock(&clock_);
+  streams_.emplace_back();  // slot 0: handles start at 1
 }
 
 SimTransport::~SimTransport() { events_.bind_clock(nullptr); }
+
+int SimTransport::new_handle() {
+  streams_.emplace_back();
+  return next_handle_++;
+}
+
+SimTransport::Stream* SimTransport::stream_of(int handle) {
+  return const_cast<Stream*>(std::as_const(*this).stream_of(handle));
+}
+
+const SimTransport::Stream* SimTransport::stream_of(int handle) const {
+  if (handle <= 0 || handle >= next_handle_) return nullptr;
+  const Stream& s = streams_[static_cast<std::size_t>(handle)];
+  return s.live ? &s : nullptr;
+}
 
 int SimTransport::listen_tcp(int port, bool /*listen_any*/,
                              int* bound_port) {
@@ -48,7 +68,7 @@ int SimTransport::listen_tcp(int port, bool /*listen_any*/,
     errno = EADDRINUSE;
     return -1;
   }
-  const int h = next_handle_++;
+  const int h = new_handle();
   Listener l;
   l.port = port;
   listeners_.emplace(h, std::move(l));
@@ -60,7 +80,7 @@ int SimTransport::listen_tcp(int port, bool /*listen_any*/,
 int SimTransport::listen_unix(const std::string& path) {
   // Mirrors unix_listen: rebinding an existing path steals it.
   unix_binds_.erase(path);
-  const int h = next_handle_++;
+  const int h = new_handle();
   Listener l;
   l.path = path;
   listeners_.emplace(h, std::move(l));
@@ -92,22 +112,24 @@ int SimTransport::dial(int listener_handle) {
   const SimLinkParams link =
       next_dial_link_set_ ? next_dial_link_ : default_link_;
   next_dial_link_set_ = false;
-  const int ch = next_handle_++;
-  const int sh = next_handle_++;
-  Stream client;
+  const int ch = new_handle();
+  const int sh = new_handle();
+  Stream& client = streams_[static_cast<std::size_t>(ch)];
+  client.live = true;
   client.peer = sh;
   client.link = link;
-  Stream server;
+  Stream& server = streams_[static_cast<std::size_t>(sh)];
+  server.live = true;
   server.peer = ch;
   server.server_side = true;
   server.link = link;
-  streams_.emplace(ch, std::move(client));
-  streams_.emplace(sh, std::move(server));
+  live_streams_ += 2;
   ++stats_.conns_opened;
   // The SYN reaches the listener one propagation delay from now; any
   // bytes the client writes meanwhile arrive behind it.
   events_.schedule(events_.now() + link.latency_us * kMicrosecond, this,
-                   kTagConnect, pack_connect(listener_handle, sh));
+                   kTagConnect,
+                   pack(listener_handle, static_cast<std::uint32_t>(sh)));
   return ch;
 }
 
@@ -124,24 +146,25 @@ int SimTransport::accept(int listen_handle) {
 }
 
 std::int64_t SimTransport::read(int handle, void* buf, std::size_t len) {
-  const auto it = streams_.find(handle);
-  FT_CHECK(it != streams_.end());
-  Stream& s = it->second;
+  Stream* const sp = stream_of(handle);
+  FT_CHECK(sp != nullptr);
+  Stream& s = *sp;
   if (s.reset) {
     errno = ECONNRESET;
     return -1;
   }
-  const std::size_t avail = s.inbox.size() - s.inbox_off;
+  const std::size_t avail = s.ready - s.rd;
   if (avail > 0) {
     const std::size_t n = std::min(len, avail);
-    std::memcpy(buf, s.inbox.data() + s.inbox_off, n);
-    s.inbox_off += n;
-    if (s.inbox_off == s.inbox.size()) {
-      s.inbox.clear();
-      s.inbox_off = 0;
+    std::memcpy(buf, s.buf.data() + s.rd, n);
+    s.rd += n;
+    if (s.rd == s.buf.size()) {  // caught up, nothing in flight
+      s.buf.clear();
+      s.rd = 0;
+      s.ready = 0;
     }
     // Reading freed receive-window space: the peer may be write-blocked.
-    if (streams_.contains(s.peer)) request_notify(s.peer);
+    request_notify(s.peer);
     return static_cast<std::int64_t>(n);
   }
   if (s.peer_closed && s.in_flight == 0) return 0;  // clean EOF
@@ -151,22 +174,19 @@ std::int64_t SimTransport::read(int handle, void* buf, std::size_t len) {
 
 std::int64_t SimTransport::write(int handle, const void* buf,
                                  std::size_t len) {
-  const auto it = streams_.find(handle);
-  FT_CHECK(it != streams_.end());
-  Stream& s = it->second;
+  Stream* const sp = stream_of(handle);
+  FT_CHECK(sp != nullptr);
+  Stream& s = *sp;
   if (s.reset || s.peer_closed) {
     errno = EPIPE;
     return -1;
   }
-  const auto pit = streams_.find(s.peer);
-  if (pit == streams_.end()) {
+  const Stream* const peer = stream_of(s.peer);
+  if (peer == nullptr) {
     errno = EPIPE;
     return -1;
   }
-  Stream& peer = pit->second;
-  const auto pending = static_cast<std::int64_t>(peer.inbox.size() -
-                                                 peer.inbox_off) +
-                       peer.in_flight;
+  const auto pending = static_cast<std::int64_t>(peer->buf.size() - peer->rd);
   const auto space =
       static_cast<std::int64_t>(stream_buf_bytes_) - pending;
   if (space <= 0) {
@@ -198,32 +218,39 @@ std::int64_t SimTransport::write(int handle, const void* buf,
     s.down_parse.insert(s.down_parse.end(), p, p + n);
     sieve_and_send(s);
   } else {
-    send_segment(s, std::vector<std::uint8_t>(p, p + n));
+    send_segment(s, p, n);
   }
   return static_cast<std::int64_t>(n);
 }
 
-void SimTransport::send_segment(Stream& from,
-                                std::vector<std::uint8_t> data) {
-  if (data.empty()) return;
-  const auto pit = streams_.find(from.peer);
-  if (pit == streams_.end() || !pit->second.open) {
+void SimTransport::send_segment(Stream& from, const std::uint8_t* data,
+                                std::size_t n) {
+  if (n == 0) return;
+  Stream* const dst = stream_of(from.peer);
+  if (dst == nullptr || !dst->open) {
     // The peer closed (or vanished) before these bytes could ship; a
     // real kernel would discard them the same way, but here the loss
     // must be *named* or the conservation oracle fires.
-    drop_closed(static_cast<std::int64_t>(data.size()));
+    drop_closed(static_cast<std::int64_t>(n));
     return;
   }
+  FT_CHECK(n <= UINT32_MAX);
   const Time start = std::max(events_.now(), from.link_free_at);
   from.link_free_at =
-      start + tx_time(static_cast<std::int64_t>(data.size()),
-                      from.link.bandwidth_bps);
+      start + tx_time(static_cast<std::int64_t>(n), from.link.bandwidth_bps);
   const Time arrive =
       from.link_free_at + from.link.latency_us * kMicrosecond;
-  pit->second.in_flight += static_cast<std::int64_t>(data.size());
-  const std::uint64_t id = next_segment_++;
-  segments_.emplace(id, Segment{from.peer, std::move(data)});
-  events_.schedule(arrive, this, kTagDeliver, id);
+  std::vector<std::uint8_t>& b = dst->buf;
+  if (dst->rd > 0 && b.size() + n > b.capacity()) {
+    // Compact instead of growing: slide the unread tail to the front.
+    b.erase(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(dst->rd));
+    dst->ready -= dst->rd;
+    dst->rd = 0;
+  }
+  b.insert(b.end(), data, data + n);
+  dst->in_flight += static_cast<std::int64_t>(n);
+  events_.schedule(arrive, this, kTagDeliver,
+                   pack(from.peer, static_cast<std::uint32_t>(n)));
 }
 
 void SimTransport::sieve_and_send(Stream& from) {
@@ -231,7 +258,8 @@ void SimTransport::sieve_and_send(Stream& from) {
   // frames, roll the seeded die per frame, forward survivors. An
   // unframeable stream falls back to verbatim forwarding.
   std::size_t off = 0;
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t>& out = sieve_out_;
+  out.clear();
   while (from.down_parse.size() - off >= net::kFrameHeaderBytes) {
     const std::size_t payload_len = get_le32(&from.down_parse[off]);
     if (payload_len == 0 || payload_len > net::kMaxFramePayload) {
@@ -240,7 +268,7 @@ void SimTransport::sieve_and_send(Stream& from) {
                                 static_cast<std::ptrdiff_t>(off),
                  from.down_parse.end());
       from.down_parse.clear();
-      send_segment(from, std::move(out));
+      send_segment(from, out.data(), out.size());
       return;
     }
     const std::size_t total = net::kFrameHeaderBytes + payload_len;
@@ -264,12 +292,14 @@ void SimTransport::sieve_and_send(Stream& from) {
   from.down_parse.erase(
       from.down_parse.begin(),
       from.down_parse.begin() + static_cast<std::ptrdiff_t>(off));
-  send_segment(from, std::move(out));
+  send_segment(from, out.data(), out.size());
 }
 
 void SimTransport::close(int handle) {
-  const auto lit = listeners_.find(handle);
-  if (lit != listeners_.end()) {
+  Stream* const sp = stream_of(handle);
+  if (sp == nullptr) {
+    const auto lit = listeners_.find(handle);
+    if (lit == listeners_.end()) return;
     // Pending, never-accepted connections die with the listener.
     for (const int sh : lit->second.backlog) close(sh);
     if (lit->second.port >= 0) tcp_binds_.erase(lit->second.port);
@@ -282,14 +312,12 @@ void SimTransport::close(int handle) {
     listeners_.erase(lit);
     return;
   }
-  const auto it = streams_.find(handle);
-  if (it == streams_.end()) return;
-  Stream& s = it->second;
+  Stream& s = *sp;
   if (!s.open) return;
   s.open = false;
   s.watch = Watch{};
-  const auto pit = streams_.find(s.peer);
-  if (pit != streams_.end() && pit->second.open && !pit->second.reset) {
+  const Stream* const peer = stream_of(s.peer);
+  if (peer != nullptr && peer->open && !peer->reset) {
     // FIN ordering: it arrives behind every byte already written.
     const Time at = std::max(events_.now(), s.link_free_at) +
                     s.link.latency_us * kMicrosecond;
@@ -301,18 +329,23 @@ void SimTransport::close(int handle) {
 }
 
 void SimTransport::maybe_erase_pair(int handle) {
-  const auto it = streams_.find(handle);
-  if (it == streams_.end() || it->second.open) return;
-  const auto pit = streams_.find(it->second.peer);
-  if (pit != streams_.end() && pit->second.open) return;
-  // Sieve parse residue (an incomplete trailing frame) dies with the
-  // pair; until now it counted as stranded, so re-home it.
-  drop_closed(static_cast<std::int64_t>(it->second.down_parse.size()));
-  if (pit != streams_.end()) {
-    drop_closed(static_cast<std::int64_t>(pit->second.down_parse.size()));
-    streams_.erase(pit);
-  }
-  streams_.erase(handle);
+  Stream* const s = stream_of(handle);
+  if (s == nullptr || s->open) return;
+  Stream* const peer = stream_of(s->peer);
+  if (peer != nullptr && peer->open) return;
+  // Each end becomes a tombstone. Sieve parse residue (an incomplete
+  // trailing frame) dies with the pair; until now it counted as
+  // stranded, so re-home it. Bytes still in flight stay counted in the
+  // slot's in_flight until their delivery event drops them.
+  const auto retire = [this](Stream& t) {
+    drop_closed(static_cast<std::int64_t>(t.down_parse.size()));
+    const std::int64_t in_flight = t.in_flight;
+    t = Stream{};
+    t.in_flight = in_flight;
+    --live_streams_;
+  };
+  if (peer != nullptr) retire(*peer);
+  retire(*s);
 }
 
 void SimTransport::drop_closed(std::int64_t n) {
@@ -369,11 +402,8 @@ void SimTransport::count_dropped_records(const std::uint8_t* payload,
 
 std::int64_t SimTransport::stranded_bytes() const {
   std::int64_t n = 0;
-  for (const auto& [id, seg] : segments_) {
-    n += static_cast<std::int64_t>(seg.data.size());
-  }
-  for (const auto& [h, s] : streams_) {
-    n += static_cast<std::int64_t>(s.down_parse.size());
+  for (const Stream& s : streams_) {
+    n += s.in_flight + static_cast<std::int64_t>(s.down_parse.size());
   }
   return n;
 }
@@ -397,9 +427,10 @@ void SimTransport::unlink_path(const std::string& path) {
 }
 
 void SimTransport::kill_all() {
-  // Ordered map: victims reset in handle order on every run.
-  for (auto& [h, s] : streams_) {
-    if (s.reset || !s.open) continue;
+  // Victims reset in handle order on every run.
+  for (int h = 1; h < next_handle_; ++h) {
+    Stream& s = streams_[static_cast<std::size_t>(h)];
+    if (!s.live || s.reset || !s.open) continue;
     s.reset = true;
     if (!s.server_side) ++stats_.conns_reset;
     request_notify(h);
@@ -407,39 +438,33 @@ void SimTransport::kill_all() {
 }
 
 SimTransport::Watch* SimTransport::watch_of(int handle) {
-  const auto it = streams_.find(handle);
-  if (it != streams_.end()) return &it->second.watch;
+  if (Stream* const s = stream_of(handle)) return &s->watch;
   const auto lit = listeners_.find(handle);
   if (lit != listeners_.end()) return &lit->second.watch;
   return nullptr;
 }
 
 std::uint32_t SimTransport::ready_mask(int handle) const {
-  const auto lit = listeners_.find(handle);
-  if (lit != listeners_.end()) {
+  const Stream* const sp = stream_of(handle);
+  if (sp == nullptr) {
+    const auto lit = listeners_.find(handle);
+    if (lit == listeners_.end()) return 0;
     const std::uint32_t m =
         lit->second.backlog.empty() ? 0 : net::kEvRead;
     return m & lit->second.watch.interest;
   }
-  const auto it = streams_.find(handle);
-  if (it == streams_.end()) return 0;
-  const Stream& s = it->second;
+  const Stream& s = *sp;
   std::uint32_t m = 0;
   if (s.reset) {
     m = net::kEvRead | net::kEvErr | net::kEvHup;
   } else {
-    if (s.inbox.size() - s.inbox_off > 0 ||
-        (s.peer_closed && s.in_flight == 0)) {
+    if (s.ready > s.rd || (s.peer_closed && s.in_flight == 0)) {
       m |= net::kEvRead;
     }
     if (!s.peer_closed) {
-      const auto pit = streams_.find(s.peer);
-      if (pit != streams_.end()) {
-        const auto pending =
-            static_cast<std::int64_t>(pit->second.inbox.size() -
-                                      pit->second.inbox_off) +
-            pit->second.in_flight;
-        if (pending < static_cast<std::int64_t>(stream_buf_bytes_)) {
+      if (const Stream* const peer = stream_of(s.peer)) {
+        // Unread plus in flight toward the peer.
+        if (peer->buf.size() - peer->rd < stream_buf_bytes_) {
           m |= net::kEvWrite;
         }
       }
@@ -463,30 +488,31 @@ void SimTransport::request_notify(int handle) {
 void SimTransport::on_event(std::uint32_t tag, std::uint64_t arg) {
   switch (tag) {
     case kTagDeliver: {
-      auto node = segments_.extract(arg);
-      if (node.empty()) return;
-      Segment& seg = node.mapped();
-      const auto it = streams_.find(seg.dst);
-      if (it == streams_.end()) {
-        // Destination pair already torn down while the segment was in
-        // flight: the bytes die, but not silently.
-        drop_closed(static_cast<std::int64_t>(seg.data.size()));
+      const int handle = static_cast<int>(arg >> 32);
+      const std::uint32_t n = static_cast<std::uint32_t>(arg);
+      Stream& dst = streams_[static_cast<std::size_t>(handle)];
+      dst.in_flight -= n;
+      if (!dst.live) {
+        // Destination pair already torn down while the bytes were in
+        // flight: they die, but not silently.
+        drop_closed(n);
         return;
       }
-      Stream& dst = it->second;
-      dst.in_flight -= static_cast<std::int64_t>(seg.data.size());
       if (!dst.open || dst.reset) {
-        // Bytes die at a closed door.
-        drop_closed(static_cast<std::int64_t>(seg.data.size()));
+        // Bytes die at a closed door. Deliveries are FIFO, so they are
+        // the first n in-flight bytes.
+        const auto at =
+            dst.buf.begin() + static_cast<std::ptrdiff_t>(dst.ready);
+        dst.buf.erase(at, at + n);
+        drop_closed(n);
         return;
       }
-      dst.inbox.insert(dst.inbox.end(), seg.data.begin(),
-                       seg.data.end());
-      stats_.bytes_delivered += static_cast<std::int64_t>(seg.data.size());
-      request_notify(seg.dst);
-      // The sender's write-space shrank then grew back as this segment
-      // left the window; if the *reader's* peer is write-blocked it
-      // wakes when the reader drains (see read()).
+      dst.ready += n;
+      stats_.bytes_delivered += n;
+      request_notify(handle);
+      // The sender's write-space is unchanged (delivered bytes count
+      // against the window until read); a write-blocked peer wakes
+      // when the reader drains (see read()).
       return;
     }
     case kTagNotify: {
@@ -497,24 +523,29 @@ void SimTransport::on_event(std::uint32_t tag, std::uint64_t arg) {
       if (w->loop == nullptr) return;
       const std::uint32_t mask = ready_mask(handle);
       if (mask == 0) return;
-      // Copy: the callback may del_fd (and so destroy) its own watch.
-      const net::IoLoop::FdCallback cb = w->cb;
+      // Moved out for the call: the callback may del_fd (and so
+      // destroy) its own watch. It goes back only if the watch is still
+      // this loop's and was not re-registered (a registration installs
+      // a new callback) meanwhile.
+      SimLoop* const loop = w->loop;
+      net::IoLoop::FdCallback cb = std::move(w->cb);
       cb(mask);
+      w = watch_of(handle);
+      if (w != nullptr && w->loop == loop && !w->cb) w->cb = std::move(cb);
       return;
     }
     case kTagConnect: {
       const int listener = static_cast<int>(arg >> 32);
       const int sh = static_cast<int>(static_cast<std::uint32_t>(arg));
-      const auto sit = streams_.find(sh);
-      if (sit == streams_.end()) return;
+      Stream* const server = stream_of(sh);
+      if (server == nullptr) return;
       const auto lit = listeners_.find(listener);
       if (lit == listeners_.end()) {
         // Listener closed while the SYN was in flight: refuse late.
-        sit->second.reset = true;
-        const auto pit = streams_.find(sit->second.peer);
-        if (pit != streams_.end()) {
-          pit->second.reset = true;
-          request_notify(sit->second.peer);
+        server->reset = true;
+        if (Stream* const client = stream_of(server->peer)) {
+          client->reset = true;
+          request_notify(server->peer);
         }
         return;
       }
@@ -524,9 +555,9 @@ void SimTransport::on_event(std::uint32_t tag, std::uint64_t arg) {
     }
     case kTagFin: {
       const int handle = static_cast<int>(static_cast<std::uint32_t>(arg));
-      const auto it = streams_.find(handle);
-      if (it == streams_.end()) return;
-      it->second.peer_closed = true;
+      Stream* const s = stream_of(handle);
+      if (s == nullptr) return;
+      s->peer_closed = true;
       request_notify(handle);
       return;
     }
@@ -554,6 +585,7 @@ void SimLoop::add_fd(int fd, std::uint32_t events, FdCallback cb) {
   SimTransport::Watch* w = tr_.watch_of(fd);
   FT_CHECK(w != nullptr);
   FT_CHECK(w->loop == nullptr);
+  FT_CHECK(cb);  // an empty callback would read as "moved out"
   w->loop = this;
   w->cb = std::move(cb);
   w->interest = events;
@@ -609,8 +641,12 @@ void SimLoop::on_event(std::uint32_t tag, std::uint64_t arg) {
     tr_.events().schedule(
         tr_.events().now() + it->second.period_us * kMicrosecond, this,
         kTagTimer, arg);
-    const TimerCallback cb = it->second.cb;
+    // Moved out for the call, not copied; it goes back unless the
+    // callback cancelled the timer (ids are never reused).
+    TimerCallback cb = std::move(it->second.cb);
     cb();
+    const auto again = timers_.find(arg);
+    if (again != timers_.end()) again->second.cb = std::move(cb);
     return;
   }
   const TimerCallback cb = std::move(it->second.cb);

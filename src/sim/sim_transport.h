@@ -1,8 +1,8 @@
 // SimTransport: the net::Transport seam backed by the discrete-event
 // queue instead of the kernel.
 //
-// Handles are table ids over in-memory duplex streams. A write is cut
-// into delivery events on the shared sim::EventQueue: bytes leave the
+// Handles are table ids over in-memory duplex streams. A write becomes
+// one delivery event on the shared sim::EventQueue: bytes leave the
 // writer no faster than the stream's configured bandwidth (a
 // serialization cursor per direction, exactly like sim::Link) and land
 // in the peer's inbox one configured latency later. Readiness is
@@ -11,7 +11,27 @@
 // EndpointAgent run unmodified on virtual time: a 10k-endpoint
 // control plane converges in seconds of wall clock, and two runs with
 // the same seed replay bit-identically (single thread, seeded RNG,
-// seq-ordered event ties, ordered handle maps).
+// seq-ordered event ties, handle-ordered stream table).
+//
+// The steady-state data path (write -> deliver -> read -> notify) does
+// no heap allocation and no tree lookup:
+//   - streams live in a table indexed by handle. Handles are dense and
+//     never reused, so a torn-down stream (or a listener's handle)
+//     simply leaves a tombstone slot behind;
+//   - each direction is one in-place byte FIFO in the receiver's
+//     slot. Arrivals in a direction are FIFO (the serialization cursor
+//     is monotone and the latency fixed), so a write appends its bytes
+//     to the peer's buffer at once and its delivery event only carries
+//     (receiver handle, byte count):
+//
+//         buf: [0, rd) consumed | [rd, ready) delivered | [ready, end)
+//                                  readable               in flight
+//
+//     Delivery advances `ready`; read() advances `rd`. The consumed
+//     prefix is dropped when the reader catches up with the end, or
+//     compacted in place before an append would grow the buffer.
+//   - readiness and periodic-timer callbacks are moved out of their
+//     slot for the call and moved back afterwards, never copied.
 //
 // FaultJail-style faults compose with virtual time natively:
 //   - set_drop_down_frac: a seeded fraction of service->agent *frames*
@@ -37,8 +57,9 @@
 //                   + stranded_bytes()
 //
 // where stranded_bytes() is what is still legitimately in motion
-// (segments in flight plus sieve parse residue). Any silent loss path
-// breaks the identity and trips the conservation oracle.
+// (bytes in flight toward any slot, tombstones included, plus sieve
+// parse residue). Any silent loss path breaks the identity and trips
+// the conservation oracle.
 #pragma once
 
 #include <cstdint>
@@ -156,11 +177,12 @@ class SimTransport final : public net::Transport, public EventHandler {
   void bind_metrics(obs::MetricsRegistry& reg, std::string_view prefix);
 
   [[nodiscard]] const SimTransportStats& stats() const { return stats_; }
-  // Bytes legitimately still in motion: segments scheduled but not yet
+  // Bytes legitimately still in motion: bytes scheduled but not yet
   // delivered, plus sieve parse residue awaiting a complete frame.
   // Closes the conservation identity (see header comment).
   [[nodiscard]] std::int64_t stranded_bytes() const;
-  [[nodiscard]] std::size_t num_streams() const { return streams_.size(); }
+  // Live stream ends (tombstones and listeners excluded).
+  [[nodiscard]] std::size_t num_streams() const { return live_streams_; }
   [[nodiscard]] EventQueue& events() { return events_; }
   [[nodiscard]] VirtualClock& virtual_clock() { return clock_; }
 
@@ -177,16 +199,25 @@ class SimTransport final : public net::Transport, public EventHandler {
     bool notify_pending = false;
   };
 
+  // One slot per handle. `live` is false for a tombstone: a stream
+  // torn down by maybe_erase_pair, a listener's handle, or handle 0.
   struct Stream {
+    bool live = false;
     int peer = -1;
     bool server_side = false;  // created by accept (service end)
     bool open = true;          // close() not yet called locally
     bool peer_closed = false;  // peer's FIN arrived
     bool reset = false;        // kill_all victim
-    std::vector<std::uint8_t> inbox;
-    std::size_t inbox_off = 0;
-    std::int64_t in_flight = 0;  // bytes scheduled toward this inbox
-    Time link_free_at = 0;       // serialization cursor for *our* writes
+    // Inbound byte FIFO (see header comment): [rd, ready) delivered and
+    // unread, [ready, buf.size()) in flight.
+    std::vector<std::uint8_t> buf;
+    std::size_t rd = 0;
+    std::size_t ready = 0;
+    // Bytes scheduled toward this slot and not yet delivered. Equals
+    // buf.size() - ready while live; a tombstone keeps counting its
+    // late deliveries down (they die as bytes_dropped_closed).
+    std::int64_t in_flight = 0;
+    Time link_free_at = 0;  // serialization cursor for *our* writes
     SimLinkParams link;
     // Frame sieve state for drop injection (server-side writers only).
     std::vector<std::uint8_t> down_parse;
@@ -201,14 +232,15 @@ class SimTransport final : public net::Transport, public EventHandler {
     Watch watch;
   };
 
-  struct Segment {
-    int dst = -1;
-    std::vector<std::uint8_t> data;
-  };
-
+  // Claims the next handle and its (tombstone) slot.
+  int new_handle();
+  // The live stream behind `handle`, or null.
+  [[nodiscard]] Stream* stream_of(int handle);
+  [[nodiscard]] const Stream* stream_of(int handle) const;
   int dial(int listener_handle);
-  // Schedules `data` from stream `from` toward its peer.
-  void send_segment(Stream& from, std::vector<std::uint8_t> data);
+  // Appends `n` bytes from stream `from` to its peer's FIFO and
+  // schedules their one delivery event.
+  void send_segment(Stream& from, const std::uint8_t* data, std::size_t n);
   // Cuts whole frames out of from.down_parse, rolling the drop die.
   void sieve_and_send(Stream& from);
   // Accounts bytes that died at a closed or vanished peer.
@@ -247,14 +279,16 @@ class SimTransport final : public net::Transport, public EventHandler {
   LossCounters lc_;
 
   int next_handle_ = 1;
-  std::uint64_t next_segment_ = 1;
-  // Ordered maps: kill_all and teardown iterate them, and determinism
-  // must not depend on hash-table layout.
-  std::map<int, Stream> streams_;
+  // Indexed by handle (slot 0 is never used). A deque keeps references
+  // stable when dial() appends; kill_all and stranded_bytes walk it in
+  // handle order, so determinism does not depend on hash-table layout.
+  std::deque<Stream> streams_;
+  std::size_t live_streams_ = 0;
   std::map<int, Listener> listeners_;
   std::unordered_map<int, int> tcp_binds_;  // port -> listener handle
   std::unordered_map<std::string, int> unix_binds_;
-  std::unordered_map<std::uint64_t, Segment> segments_;
+  // Survivors of one sieve pass, shipped as a single delivery.
+  std::vector<std::uint8_t> sieve_out_;
   int next_ephemeral_port_ = 40000;
 };
 

@@ -1273,6 +1273,66 @@ TEST_F(LoopbackTest, InlineTraceAndFlowletEndDropsContext) {
   EXPECT_EQ(svc.metrics().counter("svc.trace_echoes").value(), 1u);
 }
 
+TEST_F(ShardedLoopbackTest, TracesEndedBeforeFirstRoundCountAsDrops) {
+  // Trace-context accounting, inline and sharded: every mark the service
+  // receives ends as an echo, a drop, or a context still parked for its
+  // first rate. Flowlets that end before any round must count as drops.
+  for (const int shards : {0, 2}) {
+    SCOPED_TRACE(shards);
+    const topo::ClosTopology clos(small_clos());
+    core::Allocator alloc(caps_of(clos), alloc_cfg());
+
+    EpollLoop loop;
+    ServerConfig scfg;
+    scfg.tcp_port = 0;
+    scfg.iteration_period_us = 0;  // rounds driven manually below
+    scfg.num_shards = shards;
+    AllocatorService svc(loop, alloc, clos, scfg);
+
+    obs::MetricsRegistry reg;
+    AgentConfig acfg;
+    acfg.metrics = &reg;
+    acfg.trace_sample_every = 1;
+    EndpointAgent agent(acfg);
+    ASSERT_TRUE(agent.connect_tcp("127.0.0.1", svc.tcp_port()));
+    std::vector<EndpointAgent*> raw = {&agent};
+
+    constexpr std::uint32_t kFlows = 8;
+    constexpr std::uint32_t kEnded = 6;
+    for (std::uint32_t k = 0; k < kFlows; ++k) {
+      ASSERT_TRUE(agent.flowlet_start(40 + k, k, k + 5));
+    }
+    agent.flush();
+    ASSERT_TRUE(pump_until(loop, raw, [&] {
+      return alloc.num_active_flowlets() == kFlows;
+    }));
+    for (std::uint32_t k = 0; k < kEnded; ++k) {
+      ASSERT_TRUE(agent.flowlet_end(40 + k));
+    }
+    agent.flush();
+    ASSERT_TRUE(pump_until(loop, raw, [&] {
+      return alloc.num_active_flowlets() == kFlows - kEnded;
+    }));
+    ASSERT_TRUE(pump_until(loop, raw, [&] {
+      svc.run_allocation_round();
+      return agent.stats().traces_completed >= kFlows - kEnded;
+    }));
+
+    // Drained: every surviving flowlet has its first rate, so no
+    // context is still parked.
+    const std::uint64_t marks =
+        svc.metrics().counter("svc.trace_marks").value();
+    const std::uint64_t echoes =
+        svc.metrics().counter("svc.trace_echoes").value();
+    const std::uint64_t drops =
+        svc.metrics().counter("svc.trace_drops").value();
+    EXPECT_EQ(marks, kFlows);
+    EXPECT_EQ(echoes, kFlows - kEnded);
+    EXPECT_EQ(drops, kEnded);
+    EXPECT_EQ(marks, echoes + drops);
+  }
+}
+
 TEST_F(LoopbackTest, InjectedStallPromotesRoundIntoFlightRecorder) {
   // Fault injection end-to-end: a forced 2 ms stall inside one round's
   // fanout phase must appear in the flight recorder's black box with the

@@ -1,15 +1,21 @@
 // Tests for the virtual-time transport stack: EventQueue determinism
 // guarantees (FIFO ties, seed-replay stability), SimTransport stream
-// semantics (latency, EOF, backpressure, faults), SimLoop timers, and
-// the ControlPlaneHarness -- the real AllocatorService + EndpointAgents
-// on virtual time, including the two-run bit-identical-trajectory
-// regression and the virtual-clock ports of the recovery drills (lease
-// expiry, reconnect backoff spread) that the wall-clock recovery tests
-// can only assert with tolerance bands.
+// semantics (latency, EOF, backpressure, faults, the in-place byte
+// FIFO, teardown with bytes in flight, an allocation-free steady-state
+// data path), SimLoop timers, and the ControlPlaneHarness -- the real
+// AllocatorService + EndpointAgents on virtual time, including the
+// two-run bit-identical-trajectory regression and the virtual-clock
+// ports of the recovery drills (lease expiry, reconnect backoff spread)
+// that the wall-clock recovery tests can only assert with tolerance
+// bands.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +26,31 @@
 #include "net/transport.h"
 #include "sim/control_plane_harness.h"
 #include "sim/sim_transport.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_news{0};
+
+}  // namespace
+
+// Counting overrides (as in zero_alloc_test): the steady-state data-path
+// test asserts that a window of transport traffic allocates nothing.
+// The deletes stay out of line: inlined into a caller that also sees
+// the matching operator new, GCC 12 misreads the free() as mismatched.
+void* operator new(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ft::sim {
 namespace {
@@ -298,6 +329,143 @@ TEST(SimTransportTest, BackpressureAndWindowReopen) {
   char buf[8];
   ASSERT_EQ(p.tr.read(p.server, buf, sizeof buf), 8);  // drain
   EXPECT_EQ(p.tr.write(p.client, "x", 1), 1);          // reopened
+}
+
+// The receiver's FIFO under a lagging reader: many small writes, each its
+// own delivery, interleaved with partial reads while later bytes are
+// still in flight. The reader falls behind, so appends must reclaim the
+// consumed prefix in place (the compaction case) without reordering or
+// losing a byte.
+TEST(SimTransportTest, FifoIsByteExactAcrossSmallWritesAndPartialReads) {
+  Pipe p;
+  p.establish();
+  const auto byte_at = [](std::size_t i) {
+    return static_cast<std::uint8_t>(i * 131 + (i >> 8));
+  };
+  Rng rng(11);
+  std::size_t written = 0;
+  std::size_t consumed = 0;
+  std::array<std::uint8_t, 64> chunk{};
+  std::array<std::uint8_t, 64> got{};
+  const auto read_some = [&](std::size_t want) {
+    const std::int64_t r = p.tr.read(p.server, got.data(), want);
+    if (r < 0) {
+      EXPECT_EQ(errno, EAGAIN);
+      return false;
+    }
+    for (std::int64_t i = 0; i < r; ++i) {
+      EXPECT_EQ(got[static_cast<std::size_t>(i)],
+                byte_at(consumed + static_cast<std::size_t>(i)))
+          << "byte " << consumed + static_cast<std::size_t>(i);
+    }
+    consumed += static_cast<std::size_t>(r);
+    return r > 0;
+  };
+  for (int step = 0; step < 5000; ++step) {
+    const std::size_t n = 1 + rng.below(40);
+    for (std::size_t i = 0; i < n; ++i) chunk[i] = byte_at(written + i);
+    ASSERT_EQ(p.tr.write(p.client, chunk.data(), n),
+              static_cast<std::int64_t>(n));
+    written += n;
+    p.q.run_until(p.q.now() +
+                  static_cast<Time>(rng.below(3)) * kMicrosecond);
+    read_some(1 + rng.below(30));
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_LT(consumed, written);  // the reader really lagged
+  p.q.run_until(p.q.now() + 100 * kMicrosecond);
+  while (read_some(got.size())) {
+  }
+  EXPECT_EQ(consumed, written);
+  EXPECT_EQ(p.tr.stats().bytes_delivered,
+            static_cast<std::int64_t>(written));
+  EXPECT_EQ(p.tr.stranded_bytes(), 0);
+}
+
+// A pair torn down with bytes in flight both ways: both ends become
+// tombstones at once, and every late delivery lands in
+// bytes_dropped_closed, in write order, with the conservation identity
+// holding after every event.
+TEST(SimTransportTest, TornDownPairDropsLateDeliveriesAsClosed) {
+  Pipe p;
+  p.establish();
+  const auto balanced = [&p] {
+    const SimTransportStats& st = p.tr.stats();
+    return st.bytes_accepted ==
+           st.bytes_delivered + st.bytes_blackholed +
+               st.bytes_partitioned_up + st.bytes_partitioned_down +
+               st.bytes_dropped_sieve + st.bytes_dropped_closed +
+               p.tr.stranded_bytes();
+  };
+  std::vector<std::int64_t> sizes;
+  std::int64_t sent = 0;
+  for (std::size_t n = 1; n <= 6; ++n) {
+    const std::vector<std::uint8_t> data(n * 10, 0x5a);
+    const int from = n % 2 == 0 ? p.server : p.client;
+    ASSERT_EQ(p.tr.write(from, data.data(), data.size()),
+              static_cast<std::int64_t>(data.size()));
+    sizes.push_back(static_cast<std::int64_t>(data.size()));
+    sent += static_cast<std::int64_t>(data.size());
+    p.q.run_until(p.q.now() + kMicrosecond / 2);  // all six in flight
+  }
+  EXPECT_EQ(p.tr.stranded_bytes(), sent);
+  EXPECT_EQ(p.tr.num_streams(), 2u);
+  p.tr.close(p.client);
+  p.tr.close(p.server);
+  EXPECT_EQ(p.tr.num_streams(), 0u);  // both ends are tombstones
+  EXPECT_TRUE(balanced());
+  std::vector<std::int64_t> drops;
+  std::int64_t last = p.tr.stats().bytes_dropped_closed;
+  while (p.q.step()) {
+    ASSERT_TRUE(balanced());
+    const std::int64_t now = p.tr.stats().bytes_dropped_closed;
+    if (now != last) drops.push_back(now - last);
+    last = now;
+  }
+  EXPECT_EQ(drops, sizes);
+  EXPECT_EQ(p.tr.stats().bytes_dropped_closed, sent);
+  EXPECT_EQ(p.tr.stats().bytes_delivered, 0);
+  EXPECT_EQ(p.tr.stranded_bytes(), 0);
+}
+
+// Steady write -> deliver -> read -> notify cycles in both directions,
+// driven by a periodic timer, allocate nothing once warm: no per-write
+// segment, no per-notify callback copy, no per-firing timer copy, and
+// the lagging receiver's FIFO is compacted rather than grown.
+TEST(SimTransportTest, SteadyDataPathDoesNotAllocate) {
+  Pipe p;
+  p.establish();
+  SimLoop loop(p.tr);
+  std::array<std::uint8_t, 256> rx{};
+  const std::array<std::uint8_t, 40> msg{};
+  std::int64_t up = 0;
+  std::int64_t down = 0;
+  loop.add_periodic(1, [&] {
+    ASSERT_EQ(p.tr.write(p.client, msg.data(), msg.size()), 40);
+  });
+  // The server echoes what it reads; the client swallows the echo.
+  loop.add_fd(p.server, net::kEvRead, [&](std::uint32_t) {
+    std::int64_t r;
+    while ((r = p.tr.read(p.server, rx.data(), 24)) > 0) {
+      up += r;
+      ASSERT_EQ(p.tr.write(p.server, rx.data(), static_cast<std::size_t>(r)),
+                r);
+    }
+  });
+  loop.add_fd(p.client, net::kEvRead, [&](std::uint32_t) {
+    std::int64_t r;
+    while ((r = p.tr.read(p.client, rx.data(), rx.size())) > 0) down += r;
+  });
+  loop.run_once(2'000);  // warm-up: buffers and the event heap size up
+  const std::int64_t up0 = up;
+  const std::int64_t down0 = down;
+  const std::uint64_t before = g_news.load();
+  loop.run_once(20'000);
+  const std::uint64_t allocs = g_news.load() - before;
+  EXPECT_EQ(allocs, 0u);
+  // Traffic really flowed: one 40-byte write per virtual microsecond.
+  EXPECT_EQ(up - up0, 20'000 * 40);
+  EXPECT_EQ(down - down0, 20'000 * 40);
 }
 
 TEST(SimTransportTest, ConnectRefusedWithoutListener) {

@@ -248,6 +248,25 @@ TEST(ExactTest, ObjectiveIsMaximal) {
   }
 }
 
+TEST(ExactTest, IdleLinkDoesNotBlockConvergence) {
+  // One flow on link 0; link 1 carries nothing. The idle link's optimal
+  // price is 0 and it has no slackness to satisfy, so the solve must
+  // converge exactly as fast as the same problem without it.
+  NumProblem lone({10e9});
+  lone.add_flow(route({0}), Utility::log_utility());
+  NumProblem idle({10e9, 10e9});
+  idle.add_flow(route({0}), Utility::log_utility());
+  const ExactResult a = solve_exact(lone);
+  const ExactResult b = solve_exact(idle);
+  ASSERT_TRUE(a.converged);
+  ASSERT_TRUE(b.converged);
+  EXPECT_EQ(b.iterations, a.iterations);
+  EXPECT_LE(b.kkt_residual, 1e-4);
+  EXPECT_EQ(b.prices[1], 0.0);
+  EXPECT_EQ(b.prices[0], a.prices[0]);
+  EXPECT_EQ(b.rates[0], a.rates[0]);
+}
+
 // --------------------------------------------------------------------
 // Baselines
 // --------------------------------------------------------------------
